@@ -242,6 +242,12 @@ impl RawDisk {
     /// that matches a write surfaces as a transient error (a torn write
     /// the device detects and reports).
     pub fn write_block(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+        self.write_bytes(block, Bytes::copy_from_slice(data))
+    }
+
+    /// [`RawDisk::write_block`] taking an owned image, which the device
+    /// stores as is (shared with the page cache that flushed it).
+    pub(crate) fn write_bytes(&self, block: u64, data: Bytes) -> BlockResult<()> {
         self.check(block)?;
         if data.len() != self.block_size {
             return Err(BlockError::BadLength {
@@ -276,7 +282,7 @@ impl RawDisk {
         }
         let mut guard = self.blocks.lock();
         let prior = guard.get(&block).cloned();
-        guard.insert(block, Bytes::copy_from_slice(data));
+        guard.insert(block, data.clone());
         // Crash capture happens under the same lock hold as the insert,
         // so the snapshot is exactly the durable state after this write
         // even with concurrent writers.

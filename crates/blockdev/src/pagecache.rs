@@ -269,10 +269,10 @@ impl CachedDisk {
     }
 
     /// One device write with the same bounded-retry discipline.
-    fn device_write(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+    fn device_write(&self, block: u64, data: &Bytes) -> BlockResult<()> {
         let mut attempt: u32 = 0;
         loop {
-            let err = match self.disk.write_block(block, data) {
+            let err = match self.disk.write_bytes(block, data.clone()) {
                 Ok(()) => return Ok(()),
                 Err(
                     e @ BlockError::Io {
@@ -350,9 +350,18 @@ impl CachedDisk {
     /// Writes one block through the cache (write-back: device copy deferred
     /// until [`CachedDisk::sync`], eviction, or [`CachedDisk::drop_caches`]).
     pub fn write_block(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+        self.write_bytes(block, Bytes::copy_from_slice(data))
+    }
+
+    /// [`CachedDisk::write_block`] taking an owned image: the page holds
+    /// `data` itself, with no copy, so one image can back several blocks
+    /// (a journal's log slot and the block's in-place page). Images are
+    /// immutable, so a later write to either block replaces that block's
+    /// image and leaves the other's untouched.
+    pub fn write_bytes(&self, block: u64, data: Bytes) -> BlockResult<()> {
         if block >= self.disk.capacity_blocks() {
             // Surface range errors eagerly even in write-back mode.
-            return self.device_write(block, data);
+            return self.device_write(block, &data);
         }
         if data.len() != self.disk.block_size() {
             return Err(crate::BlockError::BadLength {
@@ -361,18 +370,17 @@ impl CachedDisk {
             });
         }
         if self.capacity_pages == 0 {
-            return self.device_write(block, data);
+            return self.device_write(block, &data);
         }
-        let bytes = Bytes::copy_from_slice(data);
         let mut inner = self.inner.lock();
         if let Some(page) = inner.pages.get_mut(&block) {
-            page.data = bytes;
+            page.data = data;
             page.dirty = true;
             let slot = page.slot;
             inner.lru.touch(slot);
             return Ok(());
         }
-        self.insert_locked(&mut inner, block, bytes, true)
+        self.insert_locked(&mut inner, block, data, true)
     }
 
     fn insert_locked(
@@ -655,6 +663,46 @@ mod tests {
         let d = small_cache(4);
         assert!(d.write_block(0, &[0u8; 3]).is_err());
         assert!(d.write_block(5000, &[0u8; 512]).is_err());
+    }
+
+    #[test]
+    fn write_bytes_checks_like_write_block_and_shares_one_image() {
+        let d = small_cache(2);
+        assert!(matches!(
+            d.write_bytes(0, Bytes::from(vec![0u8; 3])),
+            Err(BlockError::BadLength { got: 3, want: 512 })
+        ));
+        assert!(matches!(
+            d.write_bytes(5000, Bytes::from(vec![0u8; 512])),
+            Err(BlockError::OutOfRange { block: 5000, .. })
+        ));
+        assert_eq!(d.stats().resident_pages, 0);
+
+        // One image backs a log slot (20) and the in-place block (10).
+        let image = Bytes::from(vec![7u8; 512]);
+        d.write_bytes(20, image.clone()).unwrap();
+        d.write_bytes(10, image.clone()).unwrap();
+        assert_eq!(d.stats().device_writes, 0, "write-back, not write-through");
+        // Rewriting 10 touches it, so 20 is now least recent: a third
+        // page evicts 20, and the eviction writes it back (it was dirty).
+        d.write_bytes(10, image.clone()).unwrap();
+        d.read_block(30).unwrap();
+        assert_eq!(d.stats().writebacks, 1);
+        d.reset_stats();
+        assert_eq!(d.read_block(10).unwrap()[0], 7);
+        assert_eq!(d.stats().cache_hits, 1, "touched page was kept");
+
+        // A later write to the in-place block leaves the slot's image be.
+        d.write_block(10, &[9u8; 512]).unwrap();
+        assert_eq!(d.read_block(10).unwrap()[0], 9);
+        assert_eq!(d.read_block(20).unwrap(), image);
+        assert!(image.iter().all(|&b| b == 7));
+        // The overwrite is dirty too: sync writes it.
+        let before = d.stats().device_writes;
+        d.sync().unwrap();
+        assert!(d.stats().device_writes > before);
+        d.drop_caches();
+        assert_eq!(d.read_block(10).unwrap()[0], 9);
     }
 
     use dc_fault::{FaultKind, FaultPlan, FaultRule, IoOp};

@@ -16,8 +16,14 @@
 //! journal_start + 2.. circular log of transactions:
 //!     [descriptor]  JD_MAGIC, seq, n, target block numbers
 //!     [data × n]    full block images
-//!     [commit]      JC_MAGIC, seq, n, fnv64(seq, n, targets, data)
+//!     [commit]      JC_MAGIC, seq, n, checksum(seq ‖ n ‖ targets ‖ data)
 //! ```
+//!
+//! The commit checksum ([`super::checksum`], XXH64) streams the
+//! descriptor's `seq ‖ n ‖ targets` bytes as laid out on disk, then each
+//! data image in log order; commit and recovery feed it the same bytes
+//! from different buffers. Header copies carry the same checksum over
+//! their first 32 bytes.
 //!
 //! Header fields: `tail_seq` (every txn ≤ it is checkpointed in place)
 //! and `tail_slot` (log slot where txn `tail_seq + 1` begins). Recovery
@@ -28,9 +34,11 @@
 //! block-reuse hazard: a freed-then-reallocated block can only be
 //! re-logged *after* the stale record fell behind the tail.
 
+use super::checksum::{checksum, Checksum};
 use super::layout::{Geometry, Reader, Writer};
 use super::store::TxnBuf;
 use crate::error::{FsError, FsResult};
+use bytes::Bytes;
 use dc_blockdev::CachedDisk;
 use dc_obs::TraceEvent;
 use parking_lot::Mutex;
@@ -40,17 +48,10 @@ const JH_MAGIC: u64 = 0x4443_4a48_4452_5331; // "DCJHDRS1"
 const JD_MAGIC: u64 = 0x4443_4a44_4553_4331; // "DCJDESC1"
 const JC_MAGIC: u64 = 0x4443_4a43_4d54_5331; // "DCJCMTS1"
 
-/// FNV-1a over a list of byte slices; shared with the warm-restart
-/// index, whose headers use the same checksum discipline.
-pub(crate) fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Descriptor bytes the commit checksum covers: `seq ‖ n ‖ targets`,
+/// which follow the magic word.
+fn desc_summed(desc: &[u8], n: u32) -> &[u8] {
+    &desc[8..20 + 8 * n as usize]
 }
 
 /// Counters exported through the metrics registry.
@@ -121,18 +122,25 @@ impl Journal {
         (hdr_a, hdr_b, log_start, log_slots)
     }
 
-    fn encode_header(geo: &Geometry, gen: u64, tail_seq: u64, tail_slot: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; geo.block_size];
+    fn encode_header(block_size: usize, gen: u64, tail_seq: u64, tail_slot: u64) -> Bytes {
+        let mut buf = vec![0u8; block_size];
         let mut w = Writer::new(&mut buf);
         w.u64(JH_MAGIC);
         w.u64(gen);
         w.u64(tail_seq);
         w.u64(tail_slot);
-        let sum = fnv64(&[&buf[..32]]);
+        let sum = checksum(&buf[..32]);
         let mut w = Writer::new(&mut buf);
         w.seek(32);
         w.u64(sum);
-        buf
+        Bytes::from(buf)
+    }
+
+    /// Writes one header image to both copies (not yet flushed).
+    fn write_headers(disk: &CachedDisk, hdr_a: u64, hdr_b: u64, hdr: Bytes) -> FsResult<()> {
+        disk.write_bytes(hdr_a, hdr.clone())?;
+        disk.write_bytes(hdr_b, hdr)?;
+        Ok(())
     }
 
     fn decode_header(buf: &[u8]) -> Option<(u64, u64, u64)> {
@@ -144,7 +152,7 @@ impl Journal {
         let tail_seq = r.u64().ok()?;
         let tail_slot = r.u64().ok()?;
         let sum = r.u64().ok()?;
-        if fnv64(&[&buf[..32]]) != sum {
+        if checksum(&buf[..32]) != sum {
             return None;
         }
         Some((gen, tail_seq, tail_slot))
@@ -153,9 +161,8 @@ impl Journal {
     /// Initializes the journal region on a fresh file system (mkfs).
     pub(crate) fn format(disk: &CachedDisk, geo: &Geometry) -> FsResult<()> {
         let (hdr_a, hdr_b, _, _) = Self::region(geo);
-        disk.write_block(hdr_a, &Self::encode_header(geo, 1, 0, 0))?;
-        disk.write_block(hdr_b, &Self::encode_header(geo, 1, 0, 0))?;
-        Ok(())
+        let hdr = Self::encode_header(geo.block_size, 1, 0, 0);
+        Self::write_headers(disk, hdr_a, hdr_b, hdr)
     }
 
     /// Reads the best valid header copy; a freshly-zeroed region (no
@@ -188,7 +195,7 @@ impl Journal {
         let slot_block = |slot: u64| log_start + slot % log_slots;
 
         // Scan the contiguous committed chain from the tail.
-        let mut txns: Vec<Vec<(u64, Vec<u8>)>> = Vec::new();
+        let mut txns: Vec<Vec<(u64, Bytes)>> = Vec::new();
         let mut slot = tail_slot;
         let mut expected = tail_seq + 1;
         let mut consumed = 0u64;
@@ -228,9 +235,13 @@ impl Journal {
             if !ok {
                 break;
             }
+            let mut sum = Checksum::new();
+            sum.update(desc_summed(&desc, n));
             let mut datas = Vec::with_capacity(n as usize);
             for i in 0..n as u64 {
-                datas.push(disk.read_block(slot_block(slot + 1 + i))?);
+                let data = disk.read_block(slot_block(slot + 1 + i))?;
+                sum.update(&data);
+                datas.push(data);
             }
             // Validate the commit record before trusting anything.
             let commit = disk.read_block(slot_block(slot + 1 + n as u64))?;
@@ -239,28 +250,12 @@ impl Journal {
                 if c.u64().ok()? != JC_MAGIC || c.u64().ok()? != seq || c.u32().ok()? != n {
                     return None;
                 }
-                let sum = c.u64().ok()?;
-                let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + datas.len());
-                let seq_bytes = seq.to_le_bytes();
-                let n_bytes = n.to_le_bytes();
-                parts.push(&seq_bytes);
-                parts.push(&n_bytes);
-                let target_bytes: Vec<u8> = targets.iter().flat_map(|t| t.to_le_bytes()).collect();
-                parts.push(&target_bytes);
-                for d in &datas {
-                    parts.push(d);
-                }
-                (fnv64(&parts) == sum).then_some(())
+                (c.u64().ok()? == sum.finish()).then_some(())
             })();
             if valid.is_none() {
                 break; // torn tail: commit record never became durable
             }
-            txns.push(
-                targets
-                    .into_iter()
-                    .zip(datas.into_iter().map(|d| d.to_vec()))
-                    .collect(),
-            );
+            txns.push(targets.into_iter().zip(datas).collect());
             slot += n as u64 + 2;
             consumed += n as u64 + 2;
             expected += 1;
@@ -270,9 +265,9 @@ impl Journal {
         // recovered state durable before advancing the tail — a crash
         // in between replays the same chain again.
         let replayed = txns.len() as u64;
-        for txn in &txns {
+        for txn in txns {
             for (target, data) in txn {
-                disk.write_block(*target, data)?;
+                disk.write_bytes(target, data)?;
             }
         }
         let last_seq = tail_seq + replayed;
@@ -281,14 +276,8 @@ impl Journal {
             return Err(FsError::Io);
         }
         let new_gen = gen + 1;
-        disk.write_block(
-            hdr_a,
-            &Self::encode_header(geo, new_gen, last_seq, slot % log_slots),
-        )?;
-        disk.write_block(
-            hdr_b,
-            &Self::encode_header(geo, new_gen, last_seq, slot % log_slots),
-        )?;
+        let hdr = Self::encode_header(geo.block_size, new_gen, last_seq, slot % log_slots);
+        Self::write_headers(disk, hdr_a, hdr_b, hdr)?;
         disk.flush_blocks(&[hdr_a, hdr_b])?;
         if replayed > 0 {
             if let Some(obs) = disk.recorder() {
@@ -361,9 +350,8 @@ impl Journal {
         let gen = st.gen + 1;
         let tail_seq = st.next_seq - 1;
         let tail_slot = st.head_slot;
-        let hdr = self.encode_header_for(gen, tail_seq, tail_slot);
-        disk.write_block(self.hdr_a, &hdr)?;
-        disk.write_block(self.hdr_b, &hdr)?;
+        let hdr = Self::encode_header(self.block_size, gen, tail_seq, tail_slot);
+        Self::write_headers(disk, self.hdr_a, self.hdr_b, hdr)?;
         disk.flush_blocks(&[self.hdr_a, self.hdr_b])?;
         st.gen = gen;
         st.tail_seq = tail_seq;
@@ -379,24 +367,12 @@ impl Journal {
         Ok(())
     }
 
-    fn encode_header_for(&self, gen: u64, tail_seq: u64, tail_slot: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; self.block_size];
-        let mut w = Writer::new(&mut buf);
-        w.u64(JH_MAGIC);
-        w.u64(gen);
-        w.u64(tail_seq);
-        w.u64(tail_slot);
-        let sum = fnv64(&[&buf[..32]]);
-        let mut w = Writer::new(&mut buf);
-        w.seek(32);
-        w.u64(sum);
-        buf
-    }
-
     /// Commits one transaction: logs the write set, flushes payload
     /// then commit record (the ordering barrier), and only then applies
-    /// the writes in place through the page cache. Returns the
-    /// transaction's sequence number.
+    /// the writes in place through the page cache. Each block's image is
+    /// one shared buffer: the log slot and the in-place page hold the
+    /// transaction's own copy, and the checksum reads it where it lies.
+    /// Returns the transaction's sequence number.
     pub(crate) fn commit(&self, disk: &CachedDisk, buf: &TxnBuf) -> FsResult<u64> {
         let n = buf.len() as u64;
         let need = n + 2;
@@ -420,6 +396,8 @@ impl Journal {
                 w.u64(target);
             }
         }
+        let mut sum = Checksum::new();
+        sum.update(desc_summed(&desc, n as u32));
         let desc_block = self.slot_block(st.head_slot);
         disk.write_block(desc_block, &desc)?;
 
@@ -428,7 +406,8 @@ impl Journal {
         payload_blocks.push(desc_block);
         for (i, (_, data)) in buf.iter().enumerate() {
             let b = self.slot_block(st.head_slot + 1 + i as u64);
-            disk.write_block(b, data)?;
+            sum.update(data);
+            disk.write_bytes(b, data.clone())?;
             payload_blocks.push(b);
         }
 
@@ -440,21 +419,13 @@ impl Journal {
         disk.flush_blocks(&payload_blocks)?;
 
         // Commit record sealing the payload.
-        let seq_bytes = seq.to_le_bytes();
-        let n_bytes = (n as u32).to_le_bytes();
-        let target_bytes: Vec<u8> = buf.iter().flat_map(|(t, _)| t.to_le_bytes()).collect();
-        let mut parts: Vec<&[u8]> = vec![&seq_bytes, &n_bytes, &target_bytes];
-        for (_, data) in buf.iter() {
-            parts.push(data);
-        }
-        let sum = fnv64(&parts);
         let mut commit = vec![0u8; self.block_size];
         {
             let mut w = Writer::new(&mut commit);
             w.u64(JC_MAGIC);
             w.u64(seq);
             w.u32(n as u32);
-            w.u64(sum);
+            w.u64(sum.finish());
         }
         let commit_block = self.slot_block(st.head_slot + 1 + n);
         disk.write_block(commit_block, &commit)?;
@@ -463,7 +434,7 @@ impl Journal {
 
         // Checkpoint in place (write-back: durability comes from the log).
         for (target, data) in buf.iter() {
-            disk.write_block(target, data)?;
+            disk.write_bytes(target, data.clone())?;
         }
 
         st.head_slot += need;
@@ -503,6 +474,123 @@ impl Journal {
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             forced_checkpoints: self.forced_checkpoints.load(Ordering::Relaxed),
             replayed_txns: self.replayed_txns.load(Ordering::Relaxed),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::FileSystem;
+    use crate::memfs::{fsck, MemFs, MemFsConfig};
+    use dc_blockdev::{CrashImage, CrashMonitor, DiskConfig, LatencyModel};
+    use std::sync::Arc;
+
+    const TXNS: u64 = 4;
+    const CACHE_PAGES: usize = 4096;
+
+    /// mkfs + checkpoint, then `TXNS` committed creates with no sync.
+    /// Returns the device writes those commits made, the geometry, and
+    /// the image captured at write `cut` (if given).
+    fn commit_txns(cut: Option<u64>) -> (u64, Geometry, Option<CrashImage>) {
+        let disk = Arc::new(CachedDisk::new(DiskConfig {
+            block_size: 4096,
+            capacity_blocks: 8192,
+            latency: LatencyModel::free(),
+            cache_pages: CACHE_PAGES,
+        }));
+        let fs = MemFs::mkfs(
+            disk.clone(),
+            MemFsConfig {
+                max_inodes: 4096,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        fs.sync().unwrap();
+        let mon = Arc::new(CrashMonitor::at_points(cut.into_iter().collect(), 0, 0.0));
+        disk.attach_crash_monitor(mon.clone());
+        mon.arm();
+        for i in 0..TXNS {
+            fs.create(fs.root_ino(), &format!("f{i}"), 0o644, 0, 0)
+                .unwrap();
+        }
+        (mon.writes_seen(), *fs.geometry(), mon.take_images().pop())
+    }
+
+    /// Log blocks of transaction `j` (1-based past the tail):
+    /// descriptor, data images, commit record.
+    fn txn_blocks(img: &CrashImage, geo: &Geometry, j: u64) -> (u64, Vec<u64>, u64) {
+        let disk = CachedDisk::from_image(img, CACHE_PAGES, LatencyModel::free());
+        let (_, _, tail_slot) = Journal::read_header(&disk, geo).unwrap();
+        let (_, _, log_start, log_slots) = Journal::region(geo);
+        let block = |slot: u64| log_start + slot % log_slots;
+        let mut slot = tail_slot;
+        for _ in 1..j {
+            slot += desc_n(&disk, block(slot)) as u64 + 2;
+        }
+        let n = desc_n(&disk, block(slot)) as u64;
+        let data = (0..n).map(|i| block(slot + 1 + i)).collect();
+        (block(slot), data, block(slot + 1 + n))
+    }
+
+    fn desc_n(disk: &CachedDisk, block: u64) -> u32 {
+        let desc = disk.read_block(block).unwrap();
+        let mut r = Reader::new(&desc);
+        assert_eq!(r.u64().unwrap(), JD_MAGIC);
+        r.u64().unwrap();
+        r.u32().unwrap()
+    }
+
+    /// Remounts `img` and checks fsck comes back clean; returns the
+    /// transactions replayed and which of the created names survived.
+    fn remount(img: &CrashImage) -> (u64, Vec<String>) {
+        let disk = Arc::new(CachedDisk::from_image(
+            img,
+            CACHE_PAGES,
+            LatencyModel::free(),
+        ));
+        let fs = MemFs::mount(disk.clone()).unwrap();
+        let report = fsck(&disk).unwrap();
+        assert!(report.is_clean(), "fsck after recovery: {report:?}");
+        let names = (0..TXNS)
+            .map(|i| format!("f{i}"))
+            .filter(|n| fs.lookup(fs.root_ino(), n).is_ok())
+            .collect();
+        (fs.replayed_txns(), names)
+    }
+
+    #[test]
+    fn a_flipped_byte_in_txn_j_replays_exactly_the_txns_before_it() {
+        let (writes, geo, _) = commit_txns(None);
+        let (_, _, whole) = commit_txns(Some(writes));
+        let (replayed, names) = remount(&whole.unwrap());
+        assert_eq!(replayed, TXNS, "an intact log replays every commit");
+        assert_eq!(names.len() as u64, TXNS);
+
+        for j in 1..=TXNS {
+            for part in ["descriptor", "data", "commit"] {
+                let mut img = commit_txns(Some(writes)).2.unwrap();
+                let (desc, data, commit) = txn_blocks(&img, &geo, j);
+                let n = data.len();
+                // Every flip lands in bytes the recovery scan validates:
+                // the descriptor's magic/seq/n/targets, any byte of a
+                // data image, the commit record's magic/seq/n/sum.
+                let (block, offset) = match part {
+                    "descriptor" => (desc, (j as usize * 13) % (20 + 8 * n)),
+                    "data" => (data[j as usize % n], (j as usize * 997) % geo.block_size),
+                    _ => (commit, (j as usize * 7) % 28),
+                };
+                assert!(img.corrupt_byte(block, offset, 1 << (j % 8)));
+                let (replayed, names) = remount(&img);
+                assert_eq!(
+                    replayed,
+                    j - 1,
+                    "flip in txn {j}'s {part} (block {block}, offset {offset})"
+                );
+                let want: Vec<String> = (0..j - 1).map(|i| format!("f{i}")).collect();
+                assert_eq!(names, want, "txn {j}'s {part}");
+            }
         }
     }
 }

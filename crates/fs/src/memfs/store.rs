@@ -10,7 +10,6 @@ use crate::error::FsResult;
 use bytes::Bytes;
 use dc_blockdev::CachedDisk;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Block-granular access to file-system metadata.
 pub(crate) trait MetaStore {
@@ -32,37 +31,43 @@ impl MetaStore for CachedDisk {
 
 /// The write set of one metadata transaction: final content per block,
 /// in first-touch order (kept deterministic so seeded campaigns lay the
-/// journal out identically every run).
+/// journal out identically every run). Each image is one immutable
+/// buffer that reads, the journal's log slot and the in-place page all
+/// share. A transaction touches a handful of blocks, so a linear scan
+/// finds one.
 #[derive(Default)]
 pub(crate) struct TxnBuf {
-    order: Vec<u64>,
-    data: HashMap<u64, Vec<u8>>,
+    blocks: Vec<(u64, Bytes)>,
 }
 
 impl TxnBuf {
     fn record(&mut self, block: u64, data: &[u8]) {
-        if !self.data.contains_key(&block) {
-            self.order.push(block);
+        let image = Bytes::copy_from_slice(data);
+        match self.blocks.iter_mut().find(|(b, _)| *b == block) {
+            Some((_, old)) => *old = image,
+            None => self.blocks.push((block, image)),
         }
-        self.data.insert(block, data.to_vec());
     }
 
-    fn get(&self, block: u64) -> Option<&Vec<u8>> {
-        self.data.get(&block)
+    fn get(&self, block: u64) -> Option<&Bytes> {
+        self.blocks
+            .iter()
+            .find(|(b, _)| *b == block)
+            .map(|(_, d)| d)
     }
 
     /// Number of distinct blocks written.
     pub(crate) fn len(&self) -> usize {
-        self.order.len()
+        self.blocks.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Blocks in first-touch order with their final content.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Vec<u8>)> {
-        self.order.iter().map(|&b| (b, &self.data[&b]))
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Bytes)> {
+        self.blocks.iter().map(|(b, d)| (*b, d))
     }
 }
 
@@ -102,7 +107,7 @@ impl MetaStore for Tx<'_> {
     fn read_block(&self, block: u64) -> FsResult<Bytes> {
         if let Some(buf) = &self.buf {
             if let Some(data) = buf.borrow().get(block) {
-                return Ok(Bytes::copy_from_slice(data));
+                return Ok(data.clone());
             }
         }
         Ok(self.disk.read_block(block)?)

@@ -190,12 +190,13 @@ impl Kernel {
             self.dcache.unhash_subtree(&d);
         }
         self.dcache.d_move(&src, &np, &prn.name);
-        if self.dcache.config.neg_on_unlink && self.negatives_allowed(&mount.sb.fs) {
-            let _g = op.dir_lock(); // already held above
-            if self.dcache.d_lookup(&op, &pro.name).is_none() {
-                self.dcache
-                    .d_alloc(&op, &pro.name, DentryState::Negative(NegKind::Enoent));
-            }
+        // `op`'s dir lock is still held (`_g1`/`_g2`).
+        if self.dcache.config.neg_on_unlink
+            && self.negatives_allowed(&mount.sb.fs)
+            && self.dcache.d_lookup(&op, &pro.name).is_none()
+        {
+            self.dcache
+                .d_alloc(&op, &pro.name, DentryState::Negative(NegKind::Enoent));
         }
         Ok(())
     }
